@@ -35,7 +35,7 @@
 //! swapped out as one group on the next round.
 
 use crate::endpoint::Service;
-use crate::frame::{crc32, decode_header, encode_frame, FrameKind, HEADER_LEN, MAX_PAYLOAD};
+use crate::frame::{encode_frame, split_frame, Frame, FrameKind, MAX_PAYLOAD};
 use crate::metrics::ServerMetrics;
 use crate::poller::{Interest, Poller};
 use crate::rpc::{
@@ -516,16 +516,26 @@ where
     /// Interleave parsing buffered frames with non-blocking reads until
     /// the socket runs dry, the peer closes, or admission control says
     /// stop (then the socket is deliberately left unread).
+    ///
+    /// A short read (under [`READ_CHUNK`]) already drained the socket,
+    /// so the loop parses what it got and stops rather than spend a
+    /// `read` that would only return `WouldBlock`. Both pollers are
+    /// level-triggered: bytes that arrive later still raise an event.
     fn pump_read(&mut self, slot: usize) {
         let mut parsed = 0u64;
         let mut chunk = [0u8; READ_CHUNK];
+        let mut drained = false;
         'outer: loop {
             loop {
                 if self.conns[slot].is_none() || self.admission_blocked(slot) {
                     break 'outer;
                 }
                 match self.try_parse(slot) {
-                    Ok(Some((kind, req_id, payload))) => {
+                    Ok(Some(Frame {
+                        kind,
+                        req_id,
+                        payload,
+                    })) => {
                         if kind == FrameKind::Request {
                             parsed += 1;
                         }
@@ -555,7 +565,7 @@ where
             let Some(conn) = self.conns[slot].as_mut() else {
                 break;
             };
-            if conn.peer_closed {
+            if conn.peer_closed || drained {
                 break;
             }
             match conn.stream.read(&mut chunk) {
@@ -571,6 +581,7 @@ where
                         conn.buf_stamp = Instant::now();
                     }
                     conn.read_buf.extend_from_slice(&chunk[..n]);
+                    drained = n < READ_CHUNK;
                 }
                 Err(e)
                     if e.kind() == std::io::ErrorKind::WouldBlock
@@ -593,26 +604,13 @@ where
 
     /// Try to cut one complete frame out of the read buffer.
     /// `Ok(None)` = need more bytes; `Err` = corrupt.
-    #[allow(clippy::type_complexity)]
-    fn try_parse(&mut self, slot: usize) -> Result<Option<(FrameKind, u64, Vec<u8>)>, ()> {
+    fn try_parse(&mut self, slot: usize) -> Result<Option<Frame>, ()> {
         let conn = self.conns[slot].as_mut().ok_or(())?;
-        let avail = conn.read_buf.len() - conn.read_pos;
-        if avail < HEADER_LEN {
+        let Some((frame, used)) = split_frame(&conn.read_buf[conn.read_pos..]).map_err(|_| ())?
+        else {
             return Ok(None);
-        }
-        let header: [u8; HEADER_LEN] = conn.read_buf[conn.read_pos..conn.read_pos + HEADER_LEN]
-            .try_into()
-            .unwrap();
-        let (kind, req_id, len, crc) = decode_header(&header).map_err(|_| ())?;
-        if avail < HEADER_LEN + len {
-            return Ok(None);
-        }
-        let start = conn.read_pos + HEADER_LEN;
-        let payload = conn.read_buf[start..start + len].to_vec();
-        if crc32(&payload) != crc {
-            return Err(());
-        }
-        conn.read_pos += HEADER_LEN + len;
+        };
+        conn.read_pos += used;
         if conn.read_pos == conn.read_buf.len() {
             conn.read_buf.clear();
             conn.read_pos = 0;
@@ -620,7 +618,7 @@ where
             conn.read_buf.drain(..conn.read_pos);
             conn.read_pos = 0;
         }
-        Ok(Some((kind, req_id, payload)))
+        Ok(Some(frame))
     }
 
     /// Decode + run one request under the service lock, then either

@@ -155,6 +155,29 @@ pub fn decode_header(header: &[u8; HEADER_LEN]) -> io::Result<(FrameKind, u64, u
     Ok((kind, req_id, len, crc))
 }
 
+/// Cut one frame off the front of `buf`, for readers that assemble
+/// frames in their own buffer. Returns the frame and the bytes it took,
+/// `Ok(None)` while `buf` holds less than a whole frame, and an error
+/// on a bad header or a CRC mismatch (as [`read_frame`]).
+pub fn split_frame(buf: &[u8]) -> io::Result<Option<(Frame, usize)>> {
+    let Some(header) = buf.first_chunk::<HEADER_LEN>() else {
+        return Ok(None);
+    };
+    let (kind, req_id, len, crc) = decode_header(header)?;
+    let Some(payload) = buf.get(HEADER_LEN..HEADER_LEN + len) else {
+        return Ok(None);
+    };
+    if crc32(payload) != crc {
+        return Err(bad(format!("frame {req_id} payload checksum mismatch")));
+    }
+    let frame = Frame {
+        kind,
+        req_id,
+        payload: payload.to_vec(),
+    };
+    Ok(Some((frame, HEADER_LEN + len)))
+}
+
 /// Read one frame from `r`. A clean EOF before the first header byte
 /// returns `Ok(None)` (peer closed between frames); any other short
 /// read, bad magic/version/kind, oversized length or CRC mismatch is an
@@ -213,6 +236,33 @@ mod tests {
         assert_eq!(frame.kind, FrameKind::Error);
         assert_eq!(frame.req_id, 9);
         assert_eq!(frame.payload, [1]);
+    }
+
+    #[test]
+    fn split_frame_waits_for_whole_frames_and_splits_glued_ones() {
+        let mut bytes = encode_frame(FrameKind::Response, 5, b"first");
+        let one = bytes.len();
+        bytes.extend_from_slice(&encode_frame(FrameKind::Error, 6, &[2]));
+        for cut in 0..one {
+            assert!(
+                split_frame(&bytes[..cut]).unwrap().is_none(),
+                "cut at {cut}"
+            );
+        }
+        let (a, used) = split_frame(&bytes).unwrap().unwrap();
+        assert_eq!(
+            (a.kind, a.req_id, &a.payload[..], used),
+            (FrameKind::Response, 5, &b"first"[..], one)
+        );
+        let (b, rest) = split_frame(&bytes[used..]).unwrap().unwrap();
+        assert_eq!(
+            (b.kind, b.req_id, &b.payload[..]),
+            (FrameKind::Error, 6, &[2u8][..])
+        );
+        assert_eq!(used + rest, bytes.len());
+        let mut evil = bytes.clone();
+        evil[HEADER_LEN] ^= 1;
+        assert!(split_frame(&evil).is_err(), "payload flip must be rejected");
     }
 
     #[test]

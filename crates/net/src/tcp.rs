@@ -10,14 +10,21 @@
 //!
 //! * **Connection pool + request-ID multiplexing.** Many client
 //!   threads share a small pool of sockets. Each call takes a fresh
-//!   `req_id`, registers a reply slot, and writes one frame under the
-//!   connection's writer lock; a per-connection reader thread routes
-//!   response frames back to reply slots by `req_id`, so responses may
-//!   return out of order and slow calls never block fast ones.
+//!   `req_id`, registers it in the connection's mailbox, and writes one
+//!   frame under the connection's writer lock. There is no reader
+//!   thread: callers read their own replies, leader/follower style. A
+//!   caller that finds nobody reading becomes the reader, pulls frames
+//!   from a buffer that survives partial reads, and files replies for
+//!   other waiting `req_id`s in the mailbox until its own arrives; the
+//!   others park until their reply is filed or the read side frees up.
+//!   Responses may return out of order, slow calls never block fast
+//!   ones, and most replies cost the caller one `recv` and no thread
+//!   hand-off. A read error or EOF marks the connection dead and fails
+//!   every waiter at once with `ConnectionLost`.
 //! * **Deadlines.** Every attempt waits at most
 //!   [`RetryPolicy::deadline`] for its response; a fired deadline
-//!   abandons the reply slot (a late response is discarded by the
-//!   reader) and counts as a failed attempt.
+//!   unregisters the `req_id` (a late response finds no waiter and is
+//!   dropped) and counts as a failed attempt.
 //! * **Retry with exponential backoff + jitter.** Failed attempts are
 //!   retried up to [`RetryPolicy::attempts`] times, sleeping
 //!   `backoff * 2^attempt ± jitter` in between. Exhaustion surfaces
@@ -44,7 +51,7 @@
 //! offending connection; the client sees the drop and retries.
 
 use crate::endpoint::{CallCtx, Endpoint, MaintainReport, RpcError, Service};
-use crate::frame::{write_frame, FrameKind};
+use crate::frame::{decode_header, split_frame, write_frame, Frame, FrameKind, HEADER_LEN};
 use crate::metrics::EndpointMetrics;
 use crate::rpc::{
     restamp_budget_ms, Control, ControlReply, RpcRequest, RpcResponse, REJECT_EXPIRED,
@@ -54,12 +61,11 @@ use loco_obs::MetricsRegistry;
 use loco_sim::des::ServerId;
 use loco_types::wire::Wire;
 use std::collections::HashMap;
-use std::io;
+use std::io::{self, Read};
 use std::marker::PhantomData;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, RecvTimeoutError, SyncSender};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -278,13 +284,121 @@ impl GuardState {
     }
 }
 
-/// One pooled connection: a locked writer half, a reader thread that
-/// routes response frames to per-request reply slots, and a dead flag
-/// that poisons the connection on any socket or framing error.
+/// Receive-buffer size; most replies arrive whole in one `recv`.
+const RECV_CHUNK: usize = 16 * 1024;
+
+/// Caller bookkeeping of one pooled connection, under
+/// [`Conn::mailbox`].
+#[derive(Default)]
+struct Mailbox {
+    /// Callers awaiting a reply, by `req_id`; `Some` once the reading
+    /// caller has filed it.
+    waiting: HashMap<u64, Option<Frame>>,
+    /// Some caller currently owns the socket's read side.
+    reading: bool,
+    /// Callers blocked on [`Conn::filed`].
+    parked: usize,
+}
+
+/// The socket's read side: a receive buffer that survives partial
+/// reads (so a read that times out mid-frame never desyncs the
+/// framing) and the `SO_RCVTIMEO` last set on the socket. Only the
+/// reading caller locks it.
+struct Inbox {
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+    timeout: Option<Duration>,
+}
+
+impl Inbox {
+    fn new() -> Self {
+        Self {
+            buf: vec![0; RECV_CHUNK],
+            start: 0,
+            end: 0,
+            timeout: None,
+        }
+    }
+
+    /// Cut the next complete frame out of the buffer, if there is one.
+    fn next_frame(&mut self) -> io::Result<Option<Frame>> {
+        let Some((frame, used)) = split_frame(&self.buf[self.start..self.end])? else {
+            return Ok(None);
+        };
+        self.start += used;
+        if self.start == self.end {
+            self.start = 0;
+            self.end = 0;
+            if self.buf.len() > RECV_CHUNK {
+                // Give back the room a large frame needed.
+                self.buf.truncate(RECV_CHUNK);
+                self.buf.shrink_to_fit();
+            }
+        }
+        Ok(Some(frame))
+    }
+
+    /// One `recv` into the buffer, waiting at most about `rem`.
+    /// `Ok(0)` is end of stream.
+    fn fill(&mut self, mut stream: &TcpStream, rem: Duration) -> io::Result<usize> {
+        // Make room for the whole pending frame once its header is in.
+        let need = match self.buf[self.start..self.end].first_chunk::<HEADER_LEN>() {
+            Some(header) => RECV_CHUNK.max(HEADER_LEN + decode_header(header)?.2),
+            None => RECV_CHUNK,
+        };
+        if self.buf.len() - self.start < need {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+            if self.buf.len() < need {
+                self.buf.resize(need, 0);
+            }
+        }
+        // Whole milliseconds, rounded up: steady calls with one
+        // deadline keep the timeout already set, so there is no
+        // `setsockopt` per call, and a reader overshoots its own
+        // deadline by under a millisecond.
+        let want = Duration::from_millis(rem.as_nanos().div_ceil(1_000_000) as u64);
+        if self.timeout.is_none_or(|t| want < t) {
+            stream.set_read_timeout(Some(want))?;
+            self.timeout = Some(want);
+        }
+        match stream.read(&mut self.buf[self.end..]) {
+            Ok(n) => {
+                self.end += n;
+                Ok(n)
+            }
+            Err(e) => {
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) {
+                    // Woke before this caller's deadline: the next
+                    // read re-arms to what is then left.
+                    self.timeout = None;
+                }
+                Err(e)
+            }
+        }
+    }
+}
+
+/// One pooled connection. There is no reader thread: a waiting caller
+/// reads the socket itself, leader/follower style. Whoever finds no
+/// reader becomes it and files replies for other waiting callers in
+/// the mailbox until its own arrives; the rest park on `filed` until
+/// their reply is filed, the read side frees up, or their deadline
+/// passes. Any socket or framing error marks the connection dead and
+/// fails every waiter fast.
 struct Conn {
-    writer: Mutex<TcpStream>,
-    pending: Arc<Mutex<HashMap<u64, SyncSender<(FrameKind, Vec<u8>)>>>>,
-    dead: Arc<AtomicBool>,
+    stream: TcpStream,
+    /// Serializes request writes so frames never interleave.
+    writer: Mutex<()>,
+    inbox: Mutex<Inbox>,
+    mailbox: Mutex<Mailbox>,
+    filed: Condvar,
+    dead: AtomicBool,
 }
 
 impl Conn {
@@ -293,22 +407,141 @@ impl Conn {
         let stream = TcpStream::connect_timeout(&sock_addr, connect_timeout)
             .map_err(|e| RpcError::Connect(format!("{addr}: {e}")))?;
         let _ = stream.set_nodelay(true);
-        let reader = stream
-            .try_clone()
-            .map_err(|e| RpcError::Connect(format!("{addr}: clone: {e}")))?;
-        let pending: Arc<Mutex<HashMap<u64, SyncSender<(FrameKind, Vec<u8>)>>>> =
-            Arc::new(Mutex::new(HashMap::new()));
-        let dead = Arc::new(AtomicBool::new(false));
-        let conn = Arc::new(Conn {
-            writer: Mutex::new(stream),
-            pending: Arc::clone(&pending),
-            dead: Arc::clone(&dead),
-        });
-        std::thread::Builder::new()
-            .name("loco-rpc-reader".into())
-            .spawn(move || reader_loop(reader, pending, dead))
-            .map_err(|e| RpcError::Connect(format!("reader thread: {e}")))?;
-        Ok(conn)
+        Ok(Arc::new(Conn {
+            stream,
+            writer: Mutex::new(()),
+            inbox: Mutex::new(Inbox::new()),
+            mailbox: Mutex::new(Mailbox::default()),
+            filed: Condvar::new(),
+            dead: AtomicBool::new(false),
+        }))
+    }
+
+    /// Send `req_bytes` as `req_id` and wait at most `wait` for its
+    /// reply.
+    fn call(&self, req_id: u64, req_bytes: &[u8], wait: Duration) -> Result<Frame, RpcError> {
+        let deadline = Instant::now() + wait;
+        // Register before writing: the reply may be read by another
+        // caller before this one gets back from the write.
+        lock(&self.mailbox).waiting.insert(req_id, None);
+        let sent = {
+            let _w = lock(&self.writer);
+            write_frame(&mut &self.stream, FrameKind::Request, req_id, req_bytes)
+        };
+        if let Err(e) = sent {
+            self.kill();
+            lock(&self.mailbox).waiting.remove(&req_id);
+            return Err(RpcError::ConnectionLost(e.to_string()));
+        }
+        let mut mb = lock(&self.mailbox);
+        let outcome = loop {
+            if let Some(reply) = mb.waiting.get_mut(&req_id).and_then(Option::take) {
+                break Ok(reply);
+            }
+            if self.dead.load(Ordering::SeqCst) {
+                break Err(RpcError::ConnectionLost("connection closed".into()));
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                break Err(RpcError::Timeout {
+                    deadline_ms: wait.as_millis() as u64,
+                });
+            }
+            if mb.reading {
+                mb.parked += 1;
+                mb = self
+                    .filed
+                    .wait_timeout(mb, deadline - now)
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .0;
+                mb.parked -= 1;
+                continue;
+            }
+            mb.reading = true;
+            drop(mb);
+            let read = self.read_until(req_id, deadline);
+            if read.is_err() {
+                self.kill();
+            }
+            mb = lock(&self.mailbox);
+            mb.reading = false;
+            if mb.parked > 0 {
+                // Hand the read side on (or report the death).
+                self.filed.notify_all();
+            }
+            match read {
+                Ok(Some(reply)) => break Ok(reply),
+                Ok(None) => {} // deadline: the next pass reports it
+                Err(e) => break Err(RpcError::ConnectionLost(e.to_string())),
+            }
+        };
+        // Unregister: a reply that arrives later finds no waiter and
+        // is dropped.
+        mb.waiting.remove(&req_id);
+        outcome
+    }
+
+    /// As the connection's reader, pull frames until `req_id`'s reply
+    /// arrives (`Some`) or `deadline` passes (`None`). Replies for other
+    /// waiting callers are filed in the mailbox; replies nobody waits
+    /// for any more (timed out) are dropped. `Err` is a dead socket.
+    fn read_until(&self, req_id: u64, deadline: Instant) -> io::Result<Option<Frame>> {
+        let mut inbox = lock(&self.inbox);
+        let mut mine = None;
+        loop {
+            // Every complete buffered frame is routed before returning,
+            // so frames glued behind this caller's reply reach their
+            // owners without another reader's wake-up.
+            while let Some(frame) = inbox.next_frame()? {
+                if !matches!(frame.kind, FrameKind::Response | FrameKind::Error) {
+                    continue; // stray control frame
+                }
+                if frame.req_id == req_id {
+                    mine = Some(frame);
+                } else {
+                    self.file(frame);
+                }
+            }
+            if mine.is_some() {
+                return Ok(mine);
+            }
+            let rem = deadline.saturating_duration_since(Instant::now());
+            if rem.is_zero() {
+                return Ok(None);
+            }
+            match inbox.fill(&self.stream, rem) {
+                Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+                Ok(_) => {}
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock
+                            | io::ErrorKind::TimedOut
+                            | io::ErrorKind::Interrupted
+                    ) => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// File another caller's reply and wake it.
+    fn file(&self, frame: Frame) {
+        let mut mb = lock(&self.mailbox);
+        if let Some(slot) = mb.waiting.get_mut(&frame.req_id) {
+            *slot = Some(frame);
+            if mb.parked > 0 {
+                self.filed.notify_all();
+            }
+        }
+    }
+
+    /// Mark the connection dead and close the socket: the server frees
+    /// its side at once, and a caller blocked reading it wakes up,
+    /// fails, and on its way out wakes every parked caller to fail
+    /// fast (callers only park while someone reads).
+    fn kill(&self) {
+        self.dead.store(true, Ordering::SeqCst);
+        let _ = self.stream.shutdown(std::net::Shutdown::Both);
     }
 }
 
@@ -318,35 +551,6 @@ fn resolve(addr: &str) -> Result<SocketAddr, RpcError> {
         .map_err(|e| RpcError::Connect(format!("{addr}: {e}")))?
         .next()
         .ok_or_else(|| RpcError::Connect(format!("{addr}: no address")))
-}
-
-/// Routes incoming response frames to waiting callers until the socket
-/// errors or closes; then poisons the connection and drops every
-/// pending reply slot so waiting callers fail fast instead of timing
-/// out.
-fn reader_loop(
-    mut stream: TcpStream,
-    pending: Arc<Mutex<HashMap<u64, SyncSender<(FrameKind, Vec<u8>)>>>>,
-    dead: Arc<AtomicBool>,
-) {
-    loop {
-        match crate::frame::read_frame(&mut stream) {
-            Ok(Some(frame))
-                if matches!(frame.kind, FrameKind::Response | FrameKind::Error) =>
-            {
-                let slot = lock(&pending).remove(&frame.req_id);
-                if let Some(tx) = slot {
-                    // A deadline may have fired concurrently; a closed
-                    // slot just discards the late response.
-                    let _ = tx.send((frame.kind, frame.payload));
-                }
-            }
-            Ok(Some(_)) => {} // stray control frame: ignore
-            Ok(None) | Err(_) => break,
-        }
-    }
-    dead.store(true, Ordering::SeqCst);
-    lock(&pending).clear();
 }
 
 /// Client endpoint speaking the framed wire protocol to a remote
@@ -568,19 +772,9 @@ impl<S: Service> TcpEndpoint<S> {
     where
         S::Resp: Wire,
     {
-        let (tx, rx) = sync_channel(1);
-        lock(&conn.pending).insert(req_id, tx);
-        let sent = {
-            let mut w = lock(&conn.writer);
-            write_frame(&mut *w, FrameKind::Request, req_id, req_bytes)
-        };
-        if let Err(e) = sent {
-            conn.dead.store(true, Ordering::SeqCst);
-            lock(&conn.pending).remove(&req_id);
-            return Err(RpcError::ConnectionLost(e.to_string()));
-        }
-        match rx.recv_timeout(wait) {
-            Ok((FrameKind::Error, payload)) => match payload.first() {
+        let reply = conn.call(req_id, req_bytes, wait)?;
+        match reply.kind {
+            FrameKind::Error => match reply.payload.first() {
                 // Guard rejects: the server refused the request without
                 // executing it — cheap, unambiguous failures.
                 Some(&REJECT_OVERLOADED) => Err(RpcError::Overloaded),
@@ -589,8 +783,8 @@ impl<S: Service> TcpEndpoint<S> {
                     "unknown guard reject code {other:?}"
                 ))),
             },
-            Ok((_, payload)) => {
-                let resp = RpcResponse::<S::Resp>::from_wire(&payload)
+            _ => {
+                let resp = RpcResponse::<S::Resp>::from_wire(&reply.payload)
                     .map_err(|e| RpcError::Decode(e.to_string()))?;
                 // A fenced reply is a *valid* answer from a server that
                 // is no longer (or not yet) the primary: surface it as
@@ -602,15 +796,6 @@ impl<S: Service> TcpEndpoint<S> {
                     }
                 }
                 Ok(resp)
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                lock(&conn.pending).remove(&req_id);
-                Err(RpcError::Timeout {
-                    deadline_ms: wait.as_millis() as u64,
-                })
-            }
-            Err(RecvTimeoutError::Disconnected) => {
-                Err(RpcError::ConnectionLost("reader closed".into()))
             }
         }
     }

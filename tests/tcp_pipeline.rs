@@ -9,7 +9,9 @@
 //!   buffering unboundedly, and resume once the client drains;
 //! * frames split across readiness events reassembling correctly;
 //! * WAL group commit batching fsyncs across connections while every
-//!   acknowledged mutation stays durable.
+//!   acknowledged mutation stays durable;
+//! * a dropped client endpoint closing its pooled connections, so they
+//!   stop counting against the server's open-connection gauge.
 
 use locofs::dms::{DirServer, DmsRequest, DmsResponse};
 use locofs::kv::{BTreeDb, DurableStore, KvConfig, SyncPolicy};
@@ -107,6 +109,54 @@ fn hundreds_of_clients_share_four_workers() {
         registry.gauge("loco_srv_open_conns", &labels).get(),
         0,
         "every connection must be closed after the drain"
+    );
+}
+
+#[test]
+fn dropped_endpoints_close_their_pooled_connections() {
+    const ENDPOINTS: usize = 5;
+    let id = ServerId::new(class::DMS, 0);
+    let registry = MetricsRegistry::shared();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let _guard = serve_tcp(
+        id,
+        DirServer::with_sid(locofs::dms::DmsBackend::BTree, KvConfig::default(), 0),
+        listener,
+        ServeOptions {
+            registry: Some(Arc::clone(&registry)),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let addr = _guard.addr().to_string();
+    let labels: [(&str, &str); 2] = [("role", "dms"), ("server", "0")];
+    let open = || registry.gauge("loco_srv_open_conns", &labels).get();
+
+    for e in 0..ENDPOINTS {
+        let ep = TcpEndpoint::<DirServer>::with_policy(id, &addr, patient_policy());
+        let mut ctx = CallCtx::new();
+        // Two calls: at the default pool width, consecutive request
+        // ids land on different slots, so each endpoint dials two
+        // connections.
+        for i in 0..2 {
+            let r = ep
+                .try_call(&mut ctx, mkdir_local(format!("/drop{e}-{i}")))
+                .unwrap();
+            assert!(matches!(r, DmsResponse::Done(Ok(_))), "mkdir: {r:?}");
+        }
+        assert!(open() > 0, "the calls went over no open connection");
+        drop(ep);
+    }
+
+    // The server notices each close on its next readiness pass.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while open() != 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(
+        open(),
+        0,
+        "dropped endpoints still hold server connections open"
     );
 }
 
